@@ -15,17 +15,26 @@ Smoke mode (REPRO_BENCH_SMOKE=1) shrinks grid/steps; layout is identical.
 When no C toolchain is available the cext rows are omitted and the
 speedup assertions are skipped — the fallback path itself is covered by
 the test suite.
+
+Each serial row also reports ``face_flux_ns_per_face``: the stencil stage
+(fused ``face_flux``, or the interpreted ``reconstruct`` + ``riemann``
+pair it replaces) divided by the faces swept.  The cext rows carry
+``face_ops_per_face_modelled`` next to it: the arithmetic of the generated
+per-face helpers as SymPy counts it, a model rather than a measurement.
 """
 
 import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from repro.boundary import make_boundaries
 from repro.codegen import cext_available
+from repro.codegen.symbols import SRHDSymbols
 from repro.core import SolverConfig
 from repro.core.parallel import ProcessSolver
 from repro.core.solver import Solver
@@ -59,6 +68,45 @@ TARGET_CONFIGS = {
 # tick on the interpreted stencil path, "face_flux" only on the fused one;
 # absent stages report 0.0 so every row has the same columns.
 STAGE_NAMES = ("con2prim", "reconstruct", "riemann", "face_flux", "update")
+#: the stencil stage: the fused sweep, or the interpreted pair it replaces
+STENCIL_STAGES = ("face_flux", "reconstruct", "riemann")
+
+
+def _face_ops_modelled(ndim: int = 2, axis: int = 0) -> dict:
+    """Per-face operation count of the generated algebra (modelled).
+
+    ``sympy.count_ops`` over the CSE'd ``prim_to_con``, ``flux`` and
+    ``char_speeds`` helpers, evaluated once per face state (two per face).
+    Its ``POW`` nodes are split into square roots (exponent +-1/2) and
+    squares (``x**2``, one multiply).  The handwritten limiters,
+    sanitization and Riemann combines are not counted, and the compiler
+    may share or hoist some of these operations (``sqrt(gamma)`` is loop
+    invariant), so the figure is an upper bound on the generated part.
+    """
+    sym = SRHDSymbols(ndim)
+    ops: Counter = Counter()
+    for kind in ("prim_to_con", "flux", "char_speeds"):
+        temps, reduced = sp.cse(
+            sym.expressions(kind, axis), symbols=sp.numbered_symbols("t_")
+        )
+        exprs = [e for _, e in temps] + list(reduced)
+        counted = {
+            str(k): int(v)
+            for k, v in sp.count_ops(exprs, visual=True)
+            .as_coefficients_dict().items()
+        }
+        pows = [
+            node.exp for e in exprs for node in sp.preorder_traversal(e)
+            if isinstance(node, sp.Pow)
+        ]
+        sqrt = sum(1 for x in pows if abs(x) == sp.Rational(1, 2))
+        square = sum(1 for x in pows if x == 2)
+        assert sqrt + square == counted.get("POW", 0), "unexpected power"
+        ops["add"] += counted.get("ADD", 0) + counted.get("SUB", 0)
+        ops["mul"] += counted.get("MUL", 0) + square
+        ops["div"] += counted.get("DIV", 0)
+        ops["sqrt"] += sqrt
+    return {name: 2 * ops[name] for name in ("add", "mul", "div", "sqrt")}
 
 
 def _serial_case(target: str, n: int, n_steps: int) -> dict:
@@ -82,6 +130,11 @@ def _serial_case(target: str, n: int, n_steps: int) -> dict:
                else 0.0)
         for name in STAGE_NAMES
     }
+    # Every sweep (one per axis per RK stage) covers the ghosted
+    # transverse extent times the n + 1 faces of the working axis.
+    timed = [solver.timers[s] for s in STENCIL_STAGES if s in solver.timers]
+    sweeps = timed[0].count
+    faces = sweeps * (n + 2 * grid.n_ghost) * (n + 1)
     return {
         "target": target,
         "steps": n_steps,
@@ -89,6 +142,7 @@ def _serial_case(target: str, n: int, n_steps: int) -> dict:
         "wall_s": wall_s,
         "cpu_per_step": cpu_s / n_steps,
         "stage_per_step": stages,
+        "face_flux_ns_per_face": 1e9 * sum(t.elapsed for t in timed) / faces,
         "prims": grid.interior_of(solver.primitives()).copy(),
     }
 
@@ -199,6 +253,7 @@ def test_bench_compiled_kernels():
         headers=[
             "target", "serial_cpu_per_step", "serial_speedup",
             "con2prim", "recon", "riemann", "face_flux", "update",
+            "ns_per_face",
         ],
     )
     base_s = serial["numpy"]["cpu_per_step"]
@@ -210,6 +265,7 @@ def test_bench_compiled_kernels():
             base_s / serial[t]["cpu_per_step"],
             st["con2prim"], st["reconstruct"], st["riemann"],
             st["face_flux"], st["update"],
+            serial[t]["face_flux_ns_per_face"],
         )
     if not have_cext:
         report.add_note("no C toolchain: cext rows omitted")
@@ -246,6 +302,10 @@ def test_bench_compiled_kernels():
         base = cases["numpy"]["cpu_per_step"]
         for t, c in cases.items():
             result[arm][t]["speedup_vs_numpy"] = base / c["cpu_per_step"]
+    if have_cext:
+        face_ops = _face_ops_modelled()
+        for arm in ("serial", "serial_big"):
+            result[arm]["cext"]["face_ops_per_face_modelled"] = face_ops
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_compiled.json"
     path.write_text(json.dumps(result, indent=2) + "\n")

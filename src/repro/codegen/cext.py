@@ -8,18 +8,20 @@ and *correct*:
 1. an in-process handle map, keyed by the artifact name;
 2. an on-disk artifact cache (``$REPRO_CEXT_CACHE``, default
    ``~/.cache/repro/cext``) whose file names embed a SHA-256 over the
-   **generated C source + cdef declarations + toolchain fingerprint** — so
-   editing ``symbols.py``/``generator.py`` or upgrading the compiler can
-   never serve a stale binary;
+   **generated C source + cdef declarations + compile flags + toolchain
+   fingerprint** — so editing ``symbols.py``/``generator.py``, changing
+   :data:`COMPILE_FLAGS` or upgrading the compiler can never serve a stale
+   binary;
 3. the cffi build itself, executed in a private temp directory and
    installed into the cache with an atomic :func:`os.replace`, so
    concurrent worker processes racing to build the same module all end up
    importing one winner.
 
-Everything degrades gracefully: missing cffi, a missing C compiler, or
-``REPRO_CEXT_DISABLE=1`` raise :class:`~repro.utils.errors.CodegenError`
-here, which :func:`repro.codegen.system.make_kernel_system` turns into a
-logged fallback to the ``flat`` target.
+Everything degrades gracefully: missing cffi, a missing C compiler, a
+compiler that rejects :data:`COMPILE_FLAGS`, or ``REPRO_CEXT_DISABLE=1``
+raise :class:`~repro.utils.errors.CodegenError` here, which
+:func:`repro.codegen.system.make_kernel_system` turns into a logged
+fallback to the ``flat`` target.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ DISABLE_ENV = "REPRO_CEXT_DISABLE"
 STENCIL_DISABLE_ENV = "REPRO_CEXT_STENCIL_DISABLE"
 #: Overrides the on-disk artifact cache directory.
 CACHE_DIR_ENV = "REPRO_CEXT_CACHE"
+
+#: The one set of compile flags every artifact is built with (and keyed
+#: on).  ``-ffp-contract=off`` forbids FMA contraction, which is what keeps
+#: the compiled kernels bit-identical to the interpreted ``flat`` target;
+#: ``-fno-math-errno`` lets ``sqrt`` compile to one instruction (it is
+#: correctly rounded either way) and be hoisted out of loops.  Nothing
+#: here may reassociate or approximate: no fast-math, no ``-march``.
+COMPILE_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno")
 
 #: loaded compiled modules, keyed by artifact name (name embeds the hash)
 _modules: dict[str, object] = {}
@@ -112,20 +122,29 @@ def cache_dir() -> Path:
     return d
 
 
+def _artifact_digest(source: str, cdef: str) -> str:
+    """Content key of one artifact: source, declarations, compile flags
+    and toolchain fingerprint."""
+    return hashlib.sha256(
+        "\0".join(
+            [source, cdef, " ".join(COMPILE_FLAGS), toolchain_fingerprint()]
+        ).encode()
+    ).hexdigest()[:16]
+
+
 def module_spec(ndim: int, kinds_axes=None) -> tuple[str, str, str]:
     """(artifact name, C source, cdef declarations) for one ndim's module.
 
     The artifact name embeds a SHA-256 over source + declarations +
-    toolchain fingerprint: any change to the symbolic spec, the emitter,
-    or the compiler stack changes the name and forces a rebuild.
+    compile flags + toolchain fingerprint: any change to the symbolic
+    spec, the emitter, the flags or the compiler stack changes the name
+    and forces a rebuild.
     """
     gen = KernelGenerator(ndim)
     source = gen.generate_c_module(kinds_axes)
     cdef = gen.c_declarations(kinds_axes)
-    digest = hashlib.sha256(
-        "\0".join([source, cdef, toolchain_fingerprint()]).encode()
-    ).hexdigest()[:16]
-    return f"_repro_cext_{ndim}d_{digest}", source, cdef
+    name = f"_repro_cext_{ndim}d_{_artifact_digest(source, cdef)}"
+    return name, source, cdef
 
 
 def artifact_path(name: str) -> Path:
@@ -138,26 +157,22 @@ def _compile_once(name: str, source: str, cdef: str, tmpdir: str, flags):
 
     builder = cffi.FFI()
     builder.cdef(cdef)
-    kwargs = {"extra_compile_args": list(flags)} if flags else {}
-    builder.set_source(name, source, **kwargs)
+    builder.set_source(name, source, extra_compile_args=list(flags))
     return builder.compile(tmpdir=tmpdir, verbose=False)
 
 
 def _build(name: str, source: str, cdef: str, dest: Path) -> None:
-    """Compile the module in a private temp dir, install atomically."""
+    """Compile the module in a private temp dir, install atomically.
+
+    There is deliberately no retry without :data:`COMPILE_FLAGS`: an
+    artifact built without ``-ffp-contract=off`` is not bitwise equal to
+    ``flat``, and the artifact name promises that it is.  A toolchain that
+    rejects the flags raises :class:`CodegenError` (the logged fallback).
+    """
     global build_count
     tmpdir = tempfile.mkdtemp(prefix="repro-cext-build-", dir=str(dest.parent))
     try:
-        try:
-            # -ffp-contract=off keeps the fused con2prim iteration
-            # bit-identical to the NumPy reference (no FMA contraction).
-            built = _compile_once(
-                name, source, cdef, tmpdir, ("-O2", "-ffp-contract=off")
-            )
-        except Exception:
-            # Some toolchains reject the flags; retry with defaults before
-            # declaring the target unavailable.
-            built = _compile_once(name, source, cdef, tmpdir, None)
+        built = _compile_once(name, source, cdef, tmpdir, COMPILE_FLAGS)
         build_count += 1
         os.replace(built, dest)
     except CodegenError:
@@ -235,10 +250,8 @@ def stencil_module_spec(ndim: int) -> tuple[str, str, str]:
     gen = KernelGenerator(ndim)
     source = gen.generate_c_stencil_module()
     cdef = gen.c_stencil_declarations()
-    digest = hashlib.sha256(
-        "\0".join([source, cdef, toolchain_fingerprint()]).encode()
-    ).hexdigest()[:16]
-    return f"_repro_cext_st_{ndim}d_{digest}", source, cdef
+    name = f"_repro_cext_st_{ndim}d_{_artifact_digest(source, cdef)}"
+    return name, source, cdef
 
 
 def load_cext_stencil_module(ndim: int):

@@ -104,14 +104,35 @@ long %(name)s(long n,
 #: by operation (same comparisons, same multiply/divide order), so that —
 #: compiled with ``-ffp-contract=off`` — the per-face scalar evaluation is
 #: bit-identical to the interpreted array sweep.
+#:
+#: Every per-face helper is ``REPRO_INLINE`` (forced inlining): the sweep
+#: compiles to one loop body with no calls, so the compiler can keep the
+#: face states in registers, share identical sub-expressions between the
+#: inlined helpers and hoist loop invariants such as ``sqrt(gamma)``.
+#: ``repro_min``/``repro_max`` replace libm ``fmin``/``fmax``: on every
+#: non-NaN input they return the same bits as ``fmin``/``fmax`` and as
+#: ``np.minimum``/``np.maximum`` (all four return the *second* operand on
+#: a tie, signed zeros included), without a call per use.
 _STENCIL_COMMON_C = """\
-static double repro_sign(double x)
+#define REPRO_INLINE static inline __attribute__((always_inline))
+
+REPRO_INLINE double repro_min(double a, double b)
+{
+    return a < b ? a : b;
+}
+
+REPRO_INLINE double repro_max(double a, double b)
+{
+    return a > b ? a : b;
+}
+
+REPRO_INLINE double repro_sign(double x)
 {
     return (double)((x > 0.0) - (x < 0.0));
 }
 
 /* minmod(a, b) = where(a*b > 0, where(|a| < |b|, a, b), 0) */
-static double slope_minmod2(double a, double b)
+REPRO_INLINE double slope_minmod2(double a, double b)
 {
     const double t = a * b;
     double out = (fabs(a) < fabs(b)) ? a : b;
@@ -120,25 +141,25 @@ static double slope_minmod2(double a, double b)
 }
 
 /* minmod3: all three share a sign -> smallest magnitude, else 0 */
-static double slope_minmod3(double a, double b, double c)
+REPRO_INLINE double slope_minmod3(double a, double b, double c)
 {
     const double sa = repro_sign(a);
     const int same = (sa == repro_sign(b)) && (repro_sign(b) == repro_sign(c))
         && (a != 0.0);
-    double mag = fmin(fabs(b), fabs(c));
-    mag = fmin(fabs(a), mag);
+    double mag = repro_min(fabs(b), fabs(c));
+    mag = repro_min(fabs(a), mag);
     double out = sa * mag;
     if (!same) out = 0.0;
     return out;
 }
 
 /* monotonized central: minmod3(2 dm, 2 dp, (dm + dp)/2) */
-static double slope_mc(double dm, double dp)
+REPRO_INLINE double slope_mc(double dm, double dp)
 {
     return slope_minmod3(dm * 2.0, dp * 2.0, (dm + dp) * 0.5);
 }
 
-static double slope_vanleer(double dm, double dp)
+REPRO_INLINE double slope_vanleer(double dm, double dp)
 {
     const double prod = dm * dp;
     const double denom = dm + dp;
@@ -148,14 +169,14 @@ static double slope_vanleer(double dm, double dp)
     return out;
 }
 
-static double slope_superbee(double dm, double dp)
+REPRO_INLINE double slope_superbee(double dm, double dp)
 {
     const double s1 = slope_minmod2(dm * 2.0, dp);
     const double s2 = slope_minmod2(dm, dp * 2.0);
     return (fabs(s1) > fabs(s2)) ? s1 : s2;
 }
 
-static double limited_slope(int limiter_id, double dm, double dp)
+REPRO_INLINE double limited_slope(int limiter_id, double dm, double dp)
 {
     switch (limiter_id) {
     case 0: return slope_minmod2(dm, dp);
@@ -367,7 +388,7 @@ class KernelGenerator:
         printer = C99CodePrinter()
         replacements, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("t_"))
         lines = [
-            f"static void {self.cell_kernel_name(kind, axis)}"
+            f"REPRO_INLINE void {self.cell_kernel_name(kind, axis)}"
             "(const double* q, double* u, double gamma)",
             "{",
         ]
@@ -390,7 +411,7 @@ class KernelGenerator:
         """
         nv = self.nvars
         lines = [
-            f"static void sanitize_face_{self.ndim}d(double* q, double vmax2,",
+            f"REPRO_INLINE void sanitize_face_{self.ndim}d(double* q, double vmax2,",
             "    double rho_atmo, double p_atmo, long* counts)",
             "{",
             "    double v2 = 0.0;",
@@ -406,8 +427,8 @@ class KernelGenerator:
             "    }",
             "    if (q[0] < rho_atmo) counts[1] += 1;",
             f"    if (q[{nv - 1}] < p_atmo) counts[1] += 1;",
-            "    q[0] = fmax(q[0], rho_atmo);",
-            f"    q[{nv - 1}] = fmax(q[{nv - 1}], p_atmo);",
+            "    q[0] = repro_max(q[0], rho_atmo);",
+            f"    q[{nv - 1}] = repro_max(q[{nv - 1}], p_atmo);",
             "}",
         ]
         return "\n".join(lines) + "\n"
@@ -422,21 +443,21 @@ class KernelGenerator:
         """
         nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
         llf = f"""\
-static void combine_llf_{nd}d(double sL, double sR, const double* uL,
+REPRO_INLINE void combine_llf_{nd}d(double sL, double sR, const double* uL,
     const double* uR, const double* FLv, const double* FRv, double* Ff)
 {{
-    double smax = fmax(fabs(sL), fabs(sR));
+    double smax = repro_max(fabs(sL), fabs(sR));
     smax *= 0.5;
     for (int v = 0; v < {nv}; ++v)
         Ff[v] = (FLv[v] + FRv[v]) * 0.5 - (uR[v] - uL[v]) * smax;
 }}
 """
         hll = f"""\
-static void combine_hll_{nd}d(double sL, double sR, const double* uL,
+REPRO_INLINE void combine_hll_{nd}d(double sL, double sR, const double* uL,
     const double* uR, const double* FLv, const double* FRv, double* Ff)
 {{
-    const double sLc = fmin(sL, 0.0);
-    const double sRc = fmax(sR, 0.0);
+    const double sLc = repro_min(sL, 0.0);
+    const double sRc = repro_max(sR, 0.0);
     const double denom = sRc - sLc;
     const int ok = denom > 1e-300;
     const double safe = ok ? denom : 1.0;
@@ -450,7 +471,7 @@ static void combine_hll_{nd}d(double sL, double sR, const double* uL,
 }}
 """
         side = f"""\
-static void hllc_side_{nd}d(int Sx, double s, double lam_star, double p_star,
+REPRO_INLINE void hllc_side_{nd}d(int Sx, double s, double lam_star, double p_star,
     double E, double FE, const double* qp, const double* u,
     const double* FF, double* Fs)
 {{
@@ -485,13 +506,13 @@ static void hllc_side_{nd}d(int Sx, double s, double lam_star, double p_star,
 }}
 """
         hllc = f"""\
-static void combine_hllc_{nd}d(int Sx, double sL, double sR,
+REPRO_INLINE void combine_hllc_{nd}d(int Sx, double sL, double sR,
     const double* qLp, const double* qRp,
     const double* uL, const double* uR,
     const double* FLv, const double* FRv, double* Ff)
 {{
-    const double sLc = fmin(sL, -1e-12);
-    const double sRc = fmax(sR, 1e-12);
+    const double sLc = repro_min(sL, -1e-12);
+    const double sRc = repro_max(sR, 1e-12);
     const double dS = sRc - sLc;
     const double EL = uL[{tau}] + uL[0];
     const double ER = uR[{tau}] + uR[0];
@@ -514,13 +535,13 @@ static void combine_hllc_{nd}d(int Sx, double sL, double sR,
     /* contact speed: Citardauq root of FE lam^2 - (E + FS) lam + S = 0 */
     const double qb = -(E_hll + FS_hll);
     double disc = qb * qb - (FE_hll * 4.0) * S_hll;
-    disc = fmax(disc, 0.0);
+    disc = repro_max(disc, 0.0);
     disc = sqrt(disc);
     const double den = -qb + disc;
     const int ok = fabs(den) > 1e-12;
     double lam_star = (S_hll * 2.0) / (ok ? den : 1.0);
     if (!ok) lam_star = 0.0;
-    lam_star = fmin(fmax(lam_star, sLc), sRc);
+    lam_star = repro_min(repro_max(lam_star, sLc), sRc);
     double p_star = -FE_hll;
     p_star *= lam_star;
     p_star += FS_hll;
@@ -575,6 +596,19 @@ void {name}(const double* prim,
     for (long r = 0; r < n_rows; ++r) {{
         const double* row = prim + row_offsets[r];
         double* Frow = F + r * n_faces;
+        /* TVD: cell j0+k+1's limited slope serves face k's right state
+         * and face k+1's left state, so it is computed once and carried
+         * along the row; seed it with cell j0's slope. */
+        double slope[{nv}];
+        if (recon_id != 0 && n_faces > 0) {{
+            const double* cell = row + j0 * axis_stride;
+            for (int v = 0; v < {nv}; ++v) {{
+                const double* cv = cell + (long) v * var_stride;
+                const double c0 = cv[0];
+                slope[v] = limited_slope(limiter_id, c0 - cv[-axis_stride],
+                                         cv[axis_stride] - c0);
+            }}
+        }}
         for (long k = 0; k < n_faces; ++k) {{
             const double* cell = row + (j0 + k) * axis_stride;
             double qL[{nv}];
@@ -592,11 +626,11 @@ void {name}(const double* prim,
                     const double* cv = cell + (long) v * var_stride;
                     const double c0 = cv[0];
                     const double c1 = cv[axis_stride];
-                    const double dm = c0 - cv[-axis_stride];
                     const double d0 = c1 - c0;
                     const double dp = cv[2 * axis_stride] - c1;
-                    qL[v] = c0 + limited_slope(limiter_id, dm, d0) * 0.5;
-                    qR[v] = c1 - limited_slope(limiter_id, d0, dp) * 0.5;
+                    qL[v] = c0 + slope[v] * 0.5;
+                    slope[v] = limited_slope(limiter_id, d0, dp);
+                    qR[v] = c1 - slope[v] * 0.5;
                 }}
             }}
             sanitize_face_{nd}d(qL, vmax2, rho_atmo, p_atmo, counts);
@@ -613,8 +647,8 @@ void {name}(const double* prim,
             {cflux}(qR, FRv, gamma);
             {cchar}(qL, lamL, gamma);
             {cchar}(qR, lamR, gamma);
-            const double sL = fmin(lamL[0], lamR[0]);
-            const double sR = fmax(lamL[1], lamR[1]);
+            const double sL = repro_min(lamL[0], lamR[0]);
+            const double sR = repro_max(lamL[1], lamR[1]);
             double Ff[{nv}];
             if (riemann_id == 0)
                 combine_llf_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);

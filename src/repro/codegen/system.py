@@ -315,9 +315,13 @@ def make_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
     EOS) keeps the handwritten kernels with a logged warning.  When the
     compiled target is unavailable (no cffi, no compiler,
     ``REPRO_CEXT_DISABLE=1``), ``cext`` falls back to ``flat`` with a
-    logged warning rather than failing the run.
+    logged warning rather than failing the run.  A system already resolved
+    to *target* (for example by the batch service's kernel cache) is
+    returned unchanged.
     """
     if target in (None, "numpy"):
+        return system
+    if getattr(system, "target", None) == target:
         return system
     if type(system) is not SRHDSystem or not isinstance(system.eos, IdealGasEOS):
         _log.warning(

@@ -248,9 +248,10 @@ class BatchService:
             integrator=spec0.integrator,
             cfl=spec0.cfl,
             # The service resolves kernel targets through its own cache
-            # (kernel_system above); the pipeline must take the resolved
-            # system as-is.
-            kernel_target="numpy",
+            # (kernel_system above); the pipeline takes that system as-is
+            # but still needs the target to engage the fused cext sweep.
+            # A cext request that fell back to flat runs as flat.
+            kernel_target=getattr(system, "target", spec0.kernel_target),
         )
         solver = BatchSolver(
             system, grid, prims, config, make_boundaries("outflow"),

@@ -344,6 +344,60 @@ class TestCacheInvalidation:
         )
         name3, _, _ = cext_mod.module_spec(1)
         assert name3 != name1, "toolchain change did not change the artifact key"
+        monkeypatch.undo()
+
+        st1, _, _ = cext_mod.stencil_module_spec(1)
+        monkeypatch.setattr(
+            cext_mod, "COMPILE_FLAGS", cext_mod.COMPILE_FLAGS + ("-O3",)
+        )
+        assert cext_mod.module_spec(1)[0] != name1, (
+            "compile-flag change did not change the artifact key"
+        )
+        assert cext_mod.stencil_module_spec(1)[0] != st1, (
+            "compile-flag change did not change the stencil artifact key"
+        )
+
+    def test_cext_rejected_flags_fall_back_uncached(self, monkeypatch, tmp_path):
+        """A toolchain that rejects the compile flags must not be retried
+        without them (that would drop -ffp-contract=off under a bitwise
+        name): the build raises, the target falls back to flat with a
+        logged warning, and nothing lands in the artifact cache."""
+        import logging
+
+        from repro.codegen import cext as cext_mod
+        from repro.codegen.system import GeneratedSRHDSystem, make_kernel_system
+
+        try:
+            cext_mod.toolchain_fingerprint()
+        except CodegenError:
+            pytest.skip("no cffi: cext build path unavailable")
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.delenv(cext_mod.DISABLE_ENV, raising=False)
+        cext_mod.clear_modules()
+        calls = []
+
+        def reject(name, source, cdef, tmpdir, flags):
+            calls.append(tuple(flags or ()))
+            raise RuntimeError("cc: error: unrecognized command-line option")
+
+        monkeypatch.setattr(cext_mod, "_compile_once", reject)
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(level=logging.WARNING)
+        handler.emit = records.append
+        log = logging.getLogger("repro.codegen.system")
+        log.addHandler(handler)
+        try:
+            system = make_kernel_system(
+                SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=1), "cext"
+            )
+        finally:
+            log.removeHandler(handler)
+            cext_mod.clear_modules()
+        assert isinstance(system, GeneratedSRHDSystem)
+        assert system.target == "flat"
+        assert calls == [cext_mod.COMPILE_FLAGS], "build retried without flags"
+        assert any("falling back" in r.getMessage() for r in records)
+        assert cext_mod.cache_report()["n_artifacts"] == 0
 
     def test_cext_spec_change_rebuilds_artifact(self, monkeypatch, tmp_path):
         from repro.codegen import cext as cext_mod
@@ -546,33 +600,114 @@ class TestFusedStencilParity:
         @settings(max_examples=4, deadline=None, database=None)
         def check(seed, discontinuous):
             prim = self._ghosted_prim(flat, seed, discontinuous)
-            div_flat = flat.flux_divergence(prim.copy())
-            div_cext = cext.flux_divergence(prim.copy())
-            assert div_flat.tobytes() == div_cext.tobytes(), (
-                f"{recon}/{riemann}: fused sweep differs bitwise"
-            )
-            for counter in ("sanitize.velocity_rescaled", "sanitize.floored"):
-                assert (
-                    flat.metrics.counter(counter).value
-                    == cext.metrics.counter(counter).value
-                ), f"{recon}/{riemann}: {counter} totals diverge"
+            self._assert_parity(flat, cext, prim, f"{recon}/{riemann}")
 
         check()
 
-    @pytest.mark.parametrize("ndim", [1, 3])
-    def test_fused_sweep_bitwise_other_ndims(self, ndim):
+    @staticmethod
+    def _assert_parity(flat, cext, prim, label):
+        """Divergence bytes and sanitize counter totals must match."""
+        div_flat = flat.flux_divergence(prim.copy())
+        div_cext = cext.flux_divergence(prim.copy())
+        assert div_flat.tobytes() == div_cext.tobytes(), (
+            f"{label}: fused sweep differs bitwise"
+        )
+        for counter in ("sanitize.velocity_rescaled", "sanitize.floored"):
+            assert (
+                flat.metrics.counter(counter).value
+                == cext.metrics.counter(counter).value
+            ), f"{label}: {counter} totals diverge"
+
+    @staticmethod
+    def _tie_prim(pipe, seed):
+        """States built to hit every min/max tie of the sweep: plateaus
+        (equal neighbours, zero slopes), ``v = +0.0`` next to ``v = -0.0``,
+        and symmetric states whose wave speeds tie in magnitude."""
+        rng = np.random.default_rng(seed)
+        system = pipe.system
+        shape = (system.nvars,) + pipe.grid.shape_with_ghosts
+        prim = np.zeros(shape)
+        prim[system.RHO] = rng.choice([1.0, 1.0, 10.0], shape[1:])
+        prim[system.P] = rng.choice([1.0, 1.0, 0.1], shape[1:])
+        for ax in range(system.ndim):
+            prim[system.V(ax)] = rng.choice([-0.0, 0.0, 0.0, -0.4, 0.4], shape[1:])
+        # Two plateaus along the first axis: one at rest with -0.0
+        # velocities, one at rest with +0.0.
+        third = shape[1] // 3
+        prim[system.RHO, :third] = 1.0
+        prim[system.P, :third] = 1.0
+        prim[system.RHO, -third:] = 1.0
+        prim[system.P, -third:] = 1.0
+        for ax in range(system.ndim):
+            prim[system.V(ax), :third] = -0.0
+            prim[system.V(ax), -third:] = 0.0
+        return prim
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("recon,riemann", COMBOS)
+    def test_fused_sweep_bitwise_on_ties(self, ndim, recon, riemann):
+        """Plateaus and signed zeros drive the limiters, sanitization and
+        wave-speed selection onto their equality branches.  Every tie the
+        sweep can reach compares equal bit patterns or absolute values, so
+        this pins parity there; which operand a tie returns is not
+        observable through the sweep."""
         from repro.codegen import cext_available
 
         if not cext_available(ndim):
             pytest.skip("no C toolchain")
-        flat = self._pipeline("flat", "mc", "hllc", ndim=ndim)
-        cext = self._pipeline("cext", "mc", "hllc", ndim=ndim)
+        flat = self._pipeline("flat", recon, riemann, ndim=ndim)
+        cext = self._pipeline("cext", recon, riemann, ndim=ndim)
+        assert cext._fused_ids is not None, "fused sweep did not engage"
+        for seed in (0, 1):
+            prim = self._tie_prim(flat, seed)
+            self._assert_parity(
+                flat, cext, prim, f"{ndim}d {recon}/{riemann} ties"
+            )
+
+    @pytest.mark.parametrize("recon", ["pc", "minmod", "mc", "vanleer", "superbee"])
+    def test_region_split_matches_full_axis_slice(self, recon):
+        """A sweep over interior cells ``[lo, hi)`` (the overlapped
+        solver's core and strip regions) re-seeds the carried slope at its
+        first face: it must equal the matching slice of the full-axis sweep
+        bitwise, and the flat target's region sweep."""
+        from repro.codegen import cext_available
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        flat = self._pipeline("flat", recon, "hllc")
+        cext = self._pipeline("cext", recon, "hllc")
         assert cext._fused_ids is not None
-        prim = self._ghosted_prim(flat, 1234, True)
-        assert (
-            flat.flux_divergence(prim.copy()).tobytes()
-            == cext.flux_divergence(prim.copy()).tobytes()
-        )
+        g = cext.grid.n_ghost
+        prim = self._ghosted_prim(flat, 4321, True)
+        for axis in range(2):
+            n = cext.grid.shape[axis]
+            full = cext.flux_divergence_region(prim, axis, 0, n)
+            for lo, hi in ((0, g), (g, n - g), (n - g, n), (1, n - 1), (3, 4)):
+                part = cext.flux_divergence_region(prim, axis, lo, hi)
+                assert part.tobytes() == np.ascontiguousarray(
+                    full[..., lo:hi]
+                ).tobytes(), f"axis {axis} [{lo}, {hi}) != full-axis slice"
+                ref = flat.flux_divergence_region(prim, axis, lo, hi)
+                assert part.tobytes() == ref.tobytes(), (
+                    f"axis {axis} [{lo}, {hi}): cext region != flat region"
+                )
+
+    @pytest.mark.parametrize("ndim", [1, 3])
+    def test_fused_sweep_bitwise_other_ndims(self, ndim):
+        """Every reconstruction x Riemann combo in 1-D and 3-D."""
+        from repro.codegen import cext_available
+
+        if not cext_available(ndim):
+            pytest.skip("no C toolchain")
+        for recon, riemann in self.COMBOS:
+            flat = self._pipeline("flat", recon, riemann, ndim=ndim)
+            cext = self._pipeline("cext", recon, riemann, ndim=ndim)
+            assert cext._fused_ids is not None
+            for seed, discontinuous in ((1234, True), (17, False)):
+                prim = self._ghosted_prim(flat, seed, discontinuous)
+                self._assert_parity(
+                    flat, cext, prim, f"{ndim}d {recon}/{riemann}"
+                )
 
     def test_fused_off_matches_fused_on(self):
         """fused_stencils=False must give the identical (bitwise) result

@@ -138,6 +138,52 @@ class TestService:
         reqs = svc.sweep([_spec(kernel_target="flat") for _ in range(2)])
         assert [r.status for r in reqs] == ["ok", "ok"]
 
+    def test_cext_batch_runs_fused_sweep_and_matches_flat(self, monkeypatch):
+        """cext batches reach the fused face-flux sweep (no interpreted
+        reconstruct stage, no misleading kernel-fallback warning) and
+        answer bit-for-bit what a flat replay of the same batch answers."""
+        import logging
+
+        from repro.codegen import cext_available
+        from repro.core import batch
+
+        if not cext_available(1):
+            pytest.skip("no C toolchain")
+        solvers = []
+        run = batch.BatchSolver.run
+
+        def keep(solver, *args, **kwargs):
+            solvers.append(solver)
+            return run(solver, *args, **kwargs)
+
+        monkeypatch.setattr(batch.BatchSolver, "run", keep)
+        specs = [
+            _spec(kernel_target="cext", left={"rho": 10.0, "v": 0.0, "p": 13.0 + i})
+            for i in range(3)
+        ]
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(level=logging.WARNING)
+        handler.emit = records.append
+        log = logging.getLogger("repro.codegen.system")
+        log.addHandler(handler)
+        try:
+            got = BatchService().sweep(specs)
+        finally:
+            log.removeHandler(handler)
+        assert records == []
+        timers = {name for name, _ in solvers[0].timers.items()}
+        assert "face_flux" in timers
+        assert "reconstruct" not in timers
+
+        replay = BatchService().sweep(
+            [dict(s.to_dict(), kernel_target="flat") for s in specs]
+        )
+        assert [r.status for r in got] == ["ok"] * 3
+        for a, b in zip(got, replay):
+            assert a.result["steps"] == b.result["steps"]
+            for key in ("t", "rho_max", "p_max"):
+                assert a.result[key].hex() == b.result[key].hex(), key
+
     def test_metrics_schema(self):
         svc = BatchService()
         svc.sweep([_spec() for _ in range(2)])
